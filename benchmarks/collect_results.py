@@ -178,29 +178,19 @@ def latch_mvcc_block() -> dict:
     print("Latching and MVCC: reader throughput under concurrent "
           "writers")
     print("=" * 70)
-    from bench_latches import READERS, latch_overlap_results, \
-        mvcc_overlap_results
-    window = 0.5
-    inter = latch_overlap_results(window)
-    intra = mvcc_overlap_results(window, rows=4_000)
-    inter_speedup = inter["table"]["reader_ops"] \
-        / max(inter["coarse"]["reader_ops"], 1)
-    intra_speedup = intra["on"]["reader_ops"] \
-        / max(intra["off"]["reader_ops"], 1)
-    print(f"  writer on B, {READERS} readers on A: per-table latches "
-          f"{inter['table']['reader_ops']} reads vs coarse lock "
-          f"{inter['coarse']['reader_ops']} ({inter_speedup:.2f}x)")
-    print(f"  writer on A, {READERS} readers on A: MVCC snapshots "
-          f"{intra['on']['reader_ops']} reads vs latch-per-scan "
-          f"{intra['off']['reader_ops']} ({intra_speedup:.2f}x)")
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        print(f"  (host has {cores} core(s); the threads time-slice "
-              "one core, so these ratios measure overhead, not the "
-              "overlap win)")
-    return {"inter_table": inter, "intra_table": intra,
-            "latch_reader_speedup": inter_speedup,
-            "mvcc_reader_speedup": intra_speedup}
+    from bench_latches import READERS, reader_fractions, \
+        recorded_floors
+    results = reader_fractions(window=0.5, rows=4_000)
+    floors = recorded_floors()
+    idle = results["idle_reader_ops"]
+    for name, where in (("inter_table", "writer on B"),
+                        ("intra_table", "writer on A")):
+        fraction = results[f"{name}_fraction"]
+        print(f"  {where}, {READERS} readers on A: "
+              f"{results[name]['reader_ops']} reads vs {idle} "
+              f"writer-idle ({fraction:.2f}; recorded floor "
+              f"{floors[f'{name}_fraction']:.3f})")
+    return results
 
 
 def partial_reads_block() -> None:

@@ -22,14 +22,16 @@ buffer-pool lock) is RL002's lexical discipline and the runtime
 sentinel's name-order check, not a graph cycle.
 
 **The workerpool exemption.**  Edges *into* ``workerpool`` are
-recorded but excluded from cycle detection and the exported order:
-the legacy (``REPRO_MVCC=off``) path takes the worker-pool mutex under
-a held table latch, while the MVCC path takes latches under the
-worker-pool mutex — the two orders are mode-exclusive at runtime (a
-process is either in MVCC mode or not), so the class-level graph would
-show a cycle that no execution can produce.  The runtime sentinel
-mirrors this by not instrumenting the worker-pool mutex.  See
-docs/LOCKING.md.
+recorded but excluded from cycle detection and the exported order.
+The parallel coordinator takes the worker-pool mutex first and its
+all-table latch under it.  The reverse ``catalog``/``table`` ->
+``workerpool`` edges come from over-approximating the SELECT guard
+(``SqlSession._select_guard``, summarized as catalog + table latch):
+for the parallel plans that reach the worker pool it returns
+``nullcontext()``, so no execution holds a latch there (witness:
+``SqlSession.query`` entering the guard, then ``_execute_plan``).  The
+runtime sentinel mirrors this by not instrumenting the worker-pool
+mutex.  See docs/LOCKING.md.
 
 The acyclic graph is exported to ``lock_graph.json`` (nodes, ordered
 edges, and a deterministic topological order) which the runtime
@@ -49,8 +51,6 @@ from ..callgraph import CallGraph, FunctionInfo
 from ..framework import SourceFile
 from .dataflow import (
     EXCLUSIVE_LATCH_CLASSES,
-    LEGACY_CLASSES,
-    MVCC_CLASSES,
     FunctionLockFacts,
     LockClassifier,
     State,
@@ -60,15 +60,15 @@ from .dataflow import (
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Lock classes whose *incoming* edges are excluded from cycle
-#: detection and the exported order (mode-exclusive with their
-#: outgoing edges; see module docstring).
+#: detection and the exported order (artifacts of the SELECT guard's
+#: over-approximation; see module docstring).
 ORDER_EXEMPT_INCOMING = frozenset({"workerpool"})
 
 #: ``with``-method names whose token sets are built in to the
 #: classifier; a ``@contextmanager`` summary never overrides them.
 _BUILTIN_GUARDS = frozenset({
     "read_latch", "write_latch", "ddl_latch", "catalog_latch",
-    "_mvcc_select_guard", "read_lock", "write_lock",
+    "_select_guard", "read_lock", "write_lock",
 })
 
 #: Default JSON file name, checked in next to the analysis package.
@@ -125,14 +125,6 @@ class LockGraph:
 
     def add_edge(self, src: str, dst: str, witness: str) -> None:
         if src == dst:
-            return
-        # The legacy `db` RWLock and the MVCC `catalog`/`table` latches
-        # are alternatives of the *same* guards; a process holds one
-        # family or the other, never both, so cross-family edges
-        # describe no real execution (they arise interprocedurally,
-        # where a callee's summary carries both mode alternatives).
-        pair = {src, dst}
-        if pair & LEGACY_CLASSES and pair & MVCC_CLASSES:
             return
         self.nodes.add(src)
         self.nodes.add(dst)

@@ -11,8 +11,8 @@ typed call graph) must be acyclic.  A cycle is a potential deadlock:
 two threads each holding one class and waiting for the other.  Each
 cycle is reported once, with the witness call paths for every edge on
 it so the offending acquisition sites can be found directly.  Edges
-*into* ``workerpool`` are exempt (mode-exclusive with its outgoing
-edges; see :mod:`repro.analysis.flow.lockgraph`).
+*into* ``workerpool`` are exempt (artifacts of the SELECT guard's
+over-approximation; see :mod:`repro.analysis.flow.lockgraph`).
 
 RL004 also checks that the checked-in ``lock_graph.json`` (consumed by
 the runtime sentinel :mod:`repro.engine.lockcheck` as its rank table)
@@ -22,7 +22,7 @@ The drift check only runs when the linted set includes the engine's
 latch module — fixture and test-tree lints never compare against it.
 
 RL005 (warn) — a statement holding an *exclusive* latch (``table``
-write, ``catalog`` DDL, legacy ``db`` write lock) stalls every reader
+write, ``catalog`` DDL) stalls every reader
 of that table for as long as it runs; calling into a blocking sink
 (``time.sleep``, subprocess spawns, ``socket`` accept/recv/connect,
 ``select.select``, ``input``) under one turns a latency hiccup into a

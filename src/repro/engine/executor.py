@@ -35,8 +35,7 @@ from . import vectorized
 from .blob import BlobStore
 from .bufferpool import BufferPool
 from .costmodel import PAPER_HARDWARE, CostModel
-from .latches import MVCC_MODES, LatchManager, mvcc_from_env
-from .locks import RWLock
+from .latches import LatchManager
 from .metrics import QueryMetrics
 from .page import PageFile
 from .table import Column, MaxBlobHandle, Table
@@ -68,43 +67,25 @@ class Database:
     hierarchy those sessions take — a shared catalog latch plus
     per-table reader/writer latches, so a writer on one table overlaps
     readers on another (see :mod:`repro.engine.latches` and
-    ``docs/LOCKING.md``).  :attr:`lock` is the legacy coarse RWLock the
-    latches collapse onto under ``latch_mode="coarse"`` /
-    ``REPRO_LATCH=coarse``.  :meth:`create_table` itself guards the
-    catalog dict so two concurrent CREATEs cannot race.
+    ``docs/LOCKING.md``).  Tables are copy-on-write: readers pin
+    frozen page-version snapshots and scan them latch-free.
+    :meth:`create_table` itself guards the catalog dict so two
+    concurrent CREATEs cannot race.
 
     Args:
         buffer_pages: Buffer pool capacity (``None`` = unbounded).
-        latch_mode: ``"table"`` (per-table latches, the default) or
-            ``"coarse"`` (one statement-granularity RWLock); ``None``
-            reads ``REPRO_LATCH``.
-        mvcc_mode: ``"on"`` (copy-on-write page versions: readers pin
-            frozen snapshots and scan them latch-free, the default) or
-            ``"off"`` (latch-per-scan, bit-for-bit the pre-MVCC
-            behaviour); ``None`` reads ``REPRO_MVCC``.
     """
 
     #: True on databases opened as read-only snapshots (parallel
     #: workers re-open the coordinator's snapshot this way).
     read_only = False
 
-    def __init__(self, buffer_pages: int | None = None,
-                 latch_mode: str | None = None,
-                 mvcc_mode: str | None = None):
-        if mvcc_mode is None:
-            mvcc_mode = mvcc_from_env()
-        if mvcc_mode not in MVCC_MODES:
-            raise ValueError(
-                f"mvcc mode must be one of {MVCC_MODES}, "
-                f"got {mvcc_mode!r}")
-        self.mvcc = mvcc_mode == "on"
+    def __init__(self, buffer_pages: int | None = None):
         self.pagefile = PageFile()
         self.blob_store = BlobStore(self.pagefile)
         self.pool = BufferPool(self.pagefile, buffer_pages)
         self.tables: dict[str, Table] = {}
-        self.lock = RWLock()
-        self.latches = LatchManager(self.lock, self._table_names,
-                                    latch_mode)
+        self.latches = LatchManager(self._table_names)
         self._catalog_lock = threading.Lock()
         # Keeps write_version monotonic across DROP TABLE: a dropped
         # table's contribution (its catalog slot + mutations) would
@@ -117,8 +98,7 @@ class Database:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        # Locks, latches and the parallel worker pool are process-local.
-        state["lock"] = None
+        # Latches and the parallel worker pool are process-local.
         state["latches"] = None
         state["_catalog_lock"] = None
         state.pop("_worker_pool", None)
@@ -126,19 +106,15 @@ class Database:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.lock = RWLock()
-        self.latches = LatchManager(self.lock, self._table_names)
+        self.latches = LatchManager(self._table_names)
         self._catalog_lock = threading.Lock()
         for table in self.tables.values():
             table._pool_ref = self.pool
 
     @property
     def write_version(self) -> int:
-        """Monotonic write counter: bumps on every DDL/DML operation.
-
-        The parallel engine compares this against the version its
-        worker snapshot was taken at, and re-snapshots when stale.
-        """
+        """Monotonic write counter: bumps on every DDL/DML operation,
+        and never moves backwards across DROP TABLE."""
         return len(self.tables) + sum(
             t.mutations for t in self.tables.values()) + \
             self._dropped_version_carry
@@ -191,8 +167,7 @@ class Database:
         with self._catalog_lock:
             if name in self.tables:
                 raise ValueError(f"table {name!r} already exists")
-            table = Table(name, columns, self.pagefile, self.blob_store,
-                          mvcc=self.mvcc)
+            table = Table(name, columns, self.pagefile, self.blob_store)
             table._pool_ref = self.pool
             self.tables[name] = table
             return table
@@ -784,10 +759,8 @@ class Executor:
     pool counters (:meth:`BufferPool.snapshot_thread_counters`), so
     they stay exact when several queries run concurrently on the
     server's worker pool — concurrent scans never inflate each other's
-    counts.  A ``cold=True`` query still evicts shared cache pages
-    mid-scan of others (its ``pool.clear()`` is real), which raises the
-    *physical* reads of those scans; that IO genuinely happens and is
-    charged to whoever re-fetches.
+    counts.  A ``cold=True`` query reads through a private cold view
+    of the pool, so it never evicts the pages its neighbours scan.
     """
 
     #: Execution path used when a call does not pass ``engine=``:
@@ -828,22 +801,16 @@ class Executor:
     def _read_view(self, table: Table, cold: bool, pin: bool = True):
         """Statement-scoped read view over one table.
 
-        Under MVCC the statement reads a pinned frozen snapshot of the
-        table (``pin=False`` keeps the live table — the index-seek
-        path, whose secondary indexes are not versioned and run under
-        the session's table latch), and a ``cold`` statement gets a
+        The statement reads a pinned frozen snapshot of the table
+        (``pin=False`` keeps the live table — the index-seek path,
+        whose secondary indexes are not versioned and run under the
+        session's table latch), and a ``cold`` statement gets a
         *private* cold view of the buffer pool instead of clearing it
         for everybody — so per-query IO counters are independent under
-        concurrency and a cold scan no longer makes its neighbours
-        re-fetch and eat the charge.  Without MVCC this is the legacy
-        behaviour: ``cold`` clears the shared pool.
+        concurrency and a cold scan never makes its neighbours
+        re-fetch and eat the charge.
         """
         pool = self.db.pool
-        if not getattr(table, "mvcc", False):
-            if cold:
-                pool.clear()
-            yield table
-            return
         snap = table.pin_snapshot() if pin else None
         try:
             if cold:

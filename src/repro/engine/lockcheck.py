@@ -22,13 +22,15 @@ Same-class rules mirror the engine's discipline:
 - ``intent`` range-intents may stack (disjoint ranges on one or more
   tables);
 - any other same-class re-acquisition (the non-reentrant RWLocks:
-  ``catalog``, ``db``, a single table latch by the same name) is the
-  classic self-deadlock and raises.
+  ``catalog``, a single table latch by the same name) is the classic
+  self-deadlock and raises.
 
-The worker-pool mutex is deliberately **not** instrumented: its two
-acquisition orders (legacy latch-then-pool vs MVCC pool-then-latch)
-are mode-exclusive at runtime, which is exactly why the static graph
-exempts edges into ``workerpool`` (see docs/LOCKING.md).
+The worker-pool mutex is deliberately **not** instrumented, mirroring
+the static graph's exemption of edges into ``workerpool``: at runtime
+the parallel coordinator takes it before its all-table latch, but the
+static analysis over-approximates the SELECT guard and so also records
+latch-then-pool edges that no execution produces (see
+docs/LOCKING.md).
 
 The check is off by default and the disabled fast path is one global
 boolean test per acquisition.  Enable with the environment variable or
@@ -67,7 +69,6 @@ DEFAULT_ORDER: tuple[str, ...] = (
     "mutex:ShardRouter",
     "workerpool",
     "catalog",
-    "db",
     "mutex:Database",
     "table",
     "mutex:Table",
@@ -136,15 +137,16 @@ def held() -> tuple[tuple[str, Optional[str]], ...]:
     return tuple(_stack())
 
 
-def note_acquire(lock_class: str, name: Optional[str] = None, *,
-                 reentrant: bool = False) -> None:
+def note_acquire(lock_class: Optional[str], name: Optional[str] = None,
+                 *, reentrant: bool = False) -> None:
     """Validate and record one acquisition.  Call **before** blocking
     on the real lock; raises :class:`LockOrderViolation` without
     recording anything, so there is nothing to roll back on failure.
     If the real acquisition then fails (timeout), undo the record with
-    :func:`note_release`.
+    :func:`note_release`.  A ``None`` class (an unclassed lock) is
+    ignored.
     """
-    if not _active:
+    if not _active or lock_class is None:
         return
     stack = _stack()
     ranks = _rank_table()
@@ -177,10 +179,11 @@ def note_acquire(lock_class: str, name: Optional[str] = None, *,
     stack.append((lock_class, name))
 
 
-def note_release(lock_class: str, name: Optional[str] = None) -> None:
+def note_release(lock_class: Optional[str],
+                 name: Optional[str] = None) -> None:
     """Drop the most recent matching acquisition record.  Tolerates a
     missing entry (the lock may predate :func:`set_active`)."""
-    if not _active:
+    if not _active or lock_class is None:
         return
     stack = _stack()
     for idx in range(len(stack) - 1, -1, -1):

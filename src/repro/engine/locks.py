@@ -3,15 +3,14 @@
 The paper's array library runs inside SQL Server, whose lock manager
 lets any number of readers scan a table while writers are serialized
 (the Table 1 queries even opt *out* of shared locks with ``WITH
-(NOLOCK)``).  The reproduction's engine was single-threaded until the
-serving layer (:mod:`repro.server`) started multiplexing per-connection
-sessions over one shared :class:`~repro.engine.executor.Database`; this
-module supplies the equivalent coarse-grained protection: a
-writer-preferring reader/writer lock taken at statement granularity.
+(NOLOCK)``).  This module supplies the primitive the engine's latch
+hierarchy (:mod:`repro.engine.latches`) is built from: a
+writer-preferring reader/writer lock taken at statement granularity —
+one guards the catalog, one guards each table.
 
-Readers (SELECT) share; writers (CREATE/INSERT/DELETE, index builds)
-are exclusive.  Writer preference keeps a steady stream of analytical
-scans from starving catalog changes.
+Readers share; writers are exclusive.  Writer preference keeps a
+steady stream of analytical scans from starving writers and catalog
+changes.
 """
 
 from __future__ import annotations
@@ -35,18 +34,23 @@ class RWLock:
     Not reentrant on the write side, and a read holder must not try to
     take the write side (classic upgrade deadlock) — callers lock at
     statement granularity, entering once per statement.
+
+    Args:
+        lock_class: Sentinel identity (``REPRO_LOCK_CHECK=1``, see
+            :mod:`repro.engine.lockcheck`): the latch hierarchy passes
+            ``"catalog"`` or ``"table"``.  An unclassed lock is
+            invisible to the sentinel.
+        lock_name: Instance name within the class (the table name).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, lock_class: str | None = None,
+                 lock_name: str | None = None) -> None:
         self._cond = threading.Condition(threading.Lock())
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
-        # Sentinel identity (REPRO_LOCK_CHECK=1): owners re-stamp —
-        # the LatchManager marks its catalog latch "catalog" and each
-        # per-table latch "table" with the table name.
-        self.lock_class = "db"
-        self.lock_name: str | None = None
+        self.lock_class = lock_class
+        self.lock_name = lock_name
 
     # -- read side -----------------------------------------------------------
 

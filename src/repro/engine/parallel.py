@@ -382,15 +382,15 @@ class WorkerPool:
         self._segments = shm.SegmentOwner()
         self._snapshot_paths: list[str] = []
         self._snap_ref: shm.SnapshotRef | None = None
-        self._snapshot_version = None
-        self._table_versions: dict[str, int] = {}
+        #: ``name -> (table, mutations)`` at the last cut; the table
+        #: object itself is kept so a dropped and re-created table of
+        #: the same name (and mutation count) still reads as stale.
+        self._table_versions: dict[str, tuple[object, int]] = {}
         self._query_seq = 0
         self._mutex = threading.Lock()
-        # Under MVCC the eager cut would race an in-flight writer (the
-        # pool is built outside any latch); every MVCC query cuts under
-        # a brief all-table latch instead, so stay lazy there.
-        if not getattr(db, "mvcc", False):
-            self._refresh_snapshot()
+        # No eager snapshot cut: the pool is built outside any latch,
+        # so a cut here could race an in-flight writer.  Every query
+        # cuts lazily under a brief all-table latch instead.
         for i in range(self.workers):
             proc = self._ctx.Process(
                 target=_worker_main, args=(self._task_q, self._result_q),
@@ -400,19 +400,18 @@ class WorkerPool:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _snapshot_stale_for(self, table_name: str | None) -> bool:
+    def _snapshot_stale_for(self, table_name: str) -> bool:
         """Whether the live snapshot is stale for a query against
-        ``table_name`` (``None`` = stale on any write anywhere)."""
+        ``table_name``."""
         if self._snap_ref is None:
             return True
-        if table_name is None:
-            return self.db.write_version != self._snapshot_version
         table = self.db.tables.get(table_name)
         if table is None:
             return True  # new/renamed table: cut so workers see it
-        return self._table_versions.get(table_name) != table.mutations
+        return self._table_versions.get(table_name) != \
+            (table, table.mutations)
 
-    def _refresh_snapshot(self, table_name: str | None = None) -> None:
+    def _refresh_snapshot(self, table_name: str) -> None:
         """Cut a fresh snapshot if the one the workers hold is stale
         *for the queried table*.  Writes to other tables leave the
         snapshot (and every worker's resident copy) untouched."""
@@ -429,9 +428,8 @@ class WorkerPool:
             ref = ("file", path)
             self._snapshot_paths.append(path)
         self._snap_ref = ref
-        self._snapshot_version = self.db.write_version
         self._table_versions = {
-            name: t.mutations for name, t in self.db.tables.items()}
+            name: (t, t.mutations) for name, t in self.db.tables.items()}
         self.snapshot_cuts += 1
         # The previous segment is only referenced by finished (or
         # abandoned) tasks; retire it so segments never pile up.
@@ -481,22 +479,12 @@ class WorkerPool:
 
     @contextmanager
     def guard(self):
-        """The pool's dispatch mutex, exposed so the MVCC coordinator
-        can keep pin -> snapshot-cut -> dispatch atomic against other
+        """The pool's dispatch mutex, exposed so the coordinator can
+        keep pin -> snapshot-cut -> dispatch atomic against other
         parallel queries while holding the all-table latch only for
-        the cut itself (see :func:`_execute_mvcc`)."""
+        the cut itself (see :func:`_execute`)."""
         with self._mutex:
             yield self
-
-    def run_query(self, table, plan_bytes: bytes, cold: bool,
-                  leaf_ids: list[int], batch_pages: int) -> list[dict]:
-        """Dispatch one query's morsels and return their results in
-        morsel order.  Raises the first worker-side exception, or
-        :class:`WorkerDied` if a worker process disappears."""
-        with self._mutex:
-            self._refresh_snapshot(table.name)
-            return self._dispatch_locked(plan_bytes, cold, leaf_ids,
-                                         batch_pages)
 
     def _dispatch_locked(self, plan_bytes: bytes, cold: bool,
                          leaf_ids: list[int],
@@ -645,39 +633,7 @@ def _replay_io(descent_delta: IoCounters, descent_log: list[int],
 
 def _execute(db, table, plan_bytes: bytes, aggregates, cold: bool,
              workers: int, grouped: bool) -> ParallelResult:
-    started = time.perf_counter()
-    pool_mgr = get_pool(db, workers)
-    batch_pages = vectorized.DEFAULT_BATCH_PAGES
-    if getattr(db, "mvcc", False):
-        return _execute_mvcc(db, table, plan_bytes, aggregates, cold,
-                             grouped, pool_mgr, batch_pages, started)
-    leaf_ids = table.data_page_ids()
-
-    # The coordinator performs (and is charged for) the root-to-leaf
-    # descent, exactly like a serial scan's first page touches; the
-    # workers only ever touch their own morsel's leaves and blobs.
-    coord_pool = db.pool
-    if cold:
-        coord_pool.clear()
-    before = coord_pool.snapshot_thread_counters()
-    coord_pool.start_physical_log()
-    try:
-        table.tree.charge_scan_descent(coord_pool)
-    finally:
-        descent_log = coord_pool.take_physical_log()
-    descent_delta = coord_pool.snapshot_thread_counters() \
-        .delta_since(before)
-
-    morsel_results = pool_mgr.run_query(
-        table, plan_bytes, cold, leaf_ids, batch_pages)
-    return _merge_results(pool_mgr, aggregates, grouped, morsel_results,
-                          descent_delta, descent_log, started)
-
-
-def _execute_mvcc(db, table, plan_bytes: bytes, aggregates, cold: bool,
-                  grouped: bool, pool_mgr: WorkerPool, batch_pages: int,
-                  started: float) -> ParallelResult:
-    """MVCC coordinator path: pin a version and cut the worker
+    """Coordinator path: pin a version and cut the worker
     snapshot under one *brief* all-table shared latch — writers'
     publish steps are excluded exactly while the pickle runs, so the
     shipped bytes are the pinned version's committed tip — then scan
@@ -690,6 +646,9 @@ def _execute_mvcc(db, table, plan_bytes: bytes, aggregates, cold: bool,
     coordinator's descent through a cold *view* (forced misses)
     instead of ``pool.clear()``, leaving neighbours' counters alone.
     """
+    started = time.perf_counter()
+    pool_mgr = get_pool(db, workers)
+    batch_pages = vectorized.DEFAULT_BATCH_PAGES
     coord_pool = db.pool
     snap = None
     with pool_mgr.guard():

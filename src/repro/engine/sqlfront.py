@@ -116,9 +116,8 @@ def _statement_table(tokens, keyword: str) -> str:
     """Name of the table a statement targets: the name token following
     the first top-level ``keyword`` (``FROM`` or ``INTO``).
 
-    Statement planning runs this *before* any latch is taken, so the
-    statement's latch set is known up front (the grammar is
-    single-table, so the set is one name)."""
+    The grammar is single-table, so this is the statement's one
+    table."""
     depth = 0
     for i, (kind, value) in enumerate(tokens):
         if kind == "op" and value == "(":
@@ -367,17 +366,14 @@ class SqlSession:
         process pool (ignored by the serial engines).
 
         Latching: CREATE/DROP take the exclusive catalog latch; INSERT and
-        DELETE take the exclusive latch of the one table they target
-        (discovered from the token stream before locking anything), so
-        a writer here overlaps readers and writers of *other* tables.
-        Under MVCC (the default) the write latch shrinks further, to
-        the copy-on-write mutate + publish step: rows are parsed and
-        encoded first, a key-range write intent is declared (so
-        disjoint-range writers of the *same* table overlap too), and
-        only then is the table latched exclusively — concurrent
-        snapshot readers never block on any of it.  Under
-        ``REPRO_LATCH=coarse`` every write path degrades to the single
-        database write lock.
+        DELETE take the exclusive latch of the one table they target,
+        so a writer here overlaps readers and writers of *other*
+        tables.  The write latch covers only the copy-on-write mutate
+        + publish step: rows are parsed and encoded first, a key-range
+        write intent is declared (so disjoint-range writers of the
+        *same* table overlap too), and only then is the table latched
+        exclusively — concurrent snapshot readers never block on any
+        of it.
         """
         tokens = _tokenize(sql)
         head = tokens[0]
@@ -395,29 +391,25 @@ class SqlSession:
             self._plan_cache.clear()
             return 0
         if head == ("kw", "INSERT"):
-            if self.db.mvcc:
-                return self._insert_mvcc(tokens)
-            with self.db.latches.write_latch(
-                    _statement_table(tokens, "INTO")):
-                return _Ddl(self, tokens).insert()
+            return self._insert(tokens)
         if head == ("kw", "DELETE"):
-            if self.db.mvcc:
-                return self._delete_mvcc(tokens)
-            with self.db.latches.write_latch(
-                    _statement_table(tokens, "FROM")):
-                return self._delete(tokens)
+            return self._delete(tokens)
         raise SqlSyntaxError(
             f"unsupported statement starting with {head[1]!r}")
 
-    def _insert_mvcc(self, tokens) -> int:
-        """MVCC INSERT: parse and encode every row (blob writes
-        included) before any latch, declare a write intent over the
-        statement's key range, then latch the table only for the
-        copy-on-write apply + publish step."""
+    def _insert(self, tokens) -> int:
         table, rows = _Ddl(self, tokens).parse_insert()
-        if not rows:
-            return 0
+        return self.insert_rows(table, rows)
+
+    def insert_rows(self, table: Table, rows) -> int:
+        """Append rows to a table the way INSERT does: encode every
+        row (blob writes included) before any latch, declare a write
+        intent over the rows' key range, then latch the table only for
+        the copy-on-write apply + publish step.  Returns the rows
+        inserted."""
         prep = table.prepare_insert(rows)
+        if not prep.keys:
+            return 0
         token = table.acquire_intent(min(prep.keys),
                                      max(prep.keys) + 1)
         try:
@@ -426,8 +418,10 @@ class SqlSession:
         finally:
             table.release_intent(token)
 
-    def _delete_mvcc(self, tokens) -> int:
-        """MVCC DELETE: pick the victim keys on a pinned snapshot
+    def _delete(self, tokens) -> int:
+        """``DELETE FROM t [WHERE pred]``; returns rows deleted.
+
+        Picks the victim keys on a pinned snapshot
         (consistent, and concurrent with disjoint writers), then latch
         the table only for the copy-on-write delete + publish step.
         The write intent spans the WHERE clause's primary-key range —
@@ -484,40 +478,6 @@ class SqlSession:
         finally:
             table.release_intent(token)
 
-    def _delete(self, tokens) -> int:
-        """``DELETE FROM t [WHERE pred]``; returns rows deleted."""
-        parser = _Parser(self, tokens)
-        parser._expect("kw", "DELETE")
-        parser._expect("kw", "FROM")
-        name_tok = parser._next()
-        if name_tok[0] != "name":
-            raise SqlSyntaxError("expected a table name")
-        table = self._resolve_table(name_tok[1])
-        parser.table = table
-        where = None
-        if parser._peek() == ("kw", "WHERE"):
-            parser._next()
-            where = parser._predicate()
-        if parser._peek()[0] != "eof":
-            raise SqlSyntaxError(
-                f"unexpected trailing input {parser._peek()[1]!r}")
-        if where is None:
-            keys = [row[0] for row in table.scan()]
-        else:
-            key = self._seek_key(table, where)
-            if key is not None:
-                keys = [key] if table.get(key) is not None else []
-            else:
-                ctx = _EvalContext(table)
-                keys = []
-                for row in table.scan():
-                    ctx.row = row
-                    if where.eval(ctx):
-                        keys.append(row[0])
-        for key in keys:
-            table.delete(key)
-        return len(keys)
-
     def query(self, sql: str, cold: bool = True, finalize=None,
               engine: str | None = None, workers: int | None = None):
         """Execute one aggregate SELECT; returns (values, metrics).
@@ -527,14 +487,10 @@ class SqlSession:
         ``GROUP BY`` runs the hash-aggregation plan and returns
         ``(rows, metrics)`` with one ``(group, agg...)`` row per group.
 
-        Executes under the shared latch of the table it scans (plus
-        the shared catalog latch), so any number of sessions can read
-        concurrently — and writers of *other* tables proceed too.  A
-        query that may run on the parallel engine latches every table
-        shared instead: parallel workers re-open a pickled snapshot of
-        the whole database, so all of it must be stable while the
-        snapshot is cut and the morsels run.  ``REPRO_LATCH=coarse``
-        restores the old database-wide read lock.
+        A scan pins a copy-on-write snapshot of its table and holds
+        only the shared catalog latch while it runs, so any number of
+        sessions read concurrently with each other and with
+        INSERT/DELETE on the *same* table; see :meth:`_select_guard`.
 
         ``finalize``, if given, is called on the raw result *before*
         the latches are released and its return value is returned
@@ -545,39 +501,26 @@ class SqlSession:
         writers are still excluded, not after the statement returns.
         ``finalize`` must not execute further statements (the latches
         are not reentrant).
-
-        Under MVCC (the default) a snapshot-pinning plan holds no
-        table latch at all — only the shared catalog latch while it
-        runs — so this SELECT proceeds concurrently with INSERT/DELETE
-        on the *same* table; see :meth:`_mvcc_select_guard`.
         """
-        tokens = _tokenize(sql)
-        # The linter cannot see that the parallel coordinator's own
-        # all-table latch (_execute_mvcc) runs only under MVCC, where
-        # _mvcc_select_guard is a nullcontext for parallel plans, and
-        # never under the legacy read_latch branch below.
-        if self.db.mvcc:
-            plan = self._plan_tokens(tokens, sql)
-            with self._mvcc_select_guard(plan, engine):
-                result = self._execute_plan(plan, cold, engine,  # replint: disable=RL002
-                                            workers)
-                if finalize is not None:
-                    result = finalize(result)
-                return result
-        with self.db.latches.read_latch(*self._latch_set(tokens, engine)):
-            result = self._query_locked(tokens, sql, cold, engine,  # replint: disable=RL002
+        plan = self.plan_select(sql)
+        # RL002: the guard's summary over-approximates (catalog + table
+        # latch), and a parallel plan reaches the coordinator's own
+        # all-table latch; at runtime the guard is a nullcontext for
+        # exactly those plans, so the latches never nest.
+        with self._select_guard(plan, engine):
+            result = self._execute_plan(plan, cold, engine,  # replint: disable=RL002
                                         workers)
             if finalize is not None:
                 result = finalize(result)
             return result
 
-    def _mvcc_select_guard(self, plan: SelectPlan, engine: str | None):
-        """Latch guard for one SELECT in MVCC mode.
+    def _select_guard(self, plan: SelectPlan, engine: str | None):
+        """Latch guard for one SELECT.
 
         Index plans keep the table's shared latch — secondary indexes
-        are not versioned, so the seek must exclude writers the old
-        way.  Parallel-capable plans take no latch here: the parallel
-        engine latches all tables shared itself, just around pinning
+        are not versioned, so the seek must exclude writers.
+        Parallel-capable plans take no latch here: the parallel engine
+        latches all tables shared itself, just around pinning
         snapshots and refreshing its worker snapshot, then scans
         latch-free.  Everything else holds only the shared catalog
         latch (keeping the table set stable while pinning) and scans a
@@ -590,23 +533,6 @@ class SqlSession:
         if resolved == "parallel" and plan.kind in ("scan", "grouped"):
             return nullcontext()
         return self.db.latches.catalog_latch()
-
-    def _latch_set(self, tokens, engine: str | None) -> tuple[str, ...]:
-        """Tables a SELECT must latch: its FROM table — or every table
-        (the empty set means "all" to ``read_latch``) when the
-        statement may run on the parallel engine, whose workers
-        snapshot the whole database."""
-        resolved = engine if engine is not None \
-            else self.executor.default_engine
-        if resolved == "parallel":
-            return ()
-        return (_statement_table(tokens, "FROM"),)
-
-    def _query_locked(self, tokens, sql: str, cold: bool,
-                      engine: str | None = None,
-                      workers: int | None = None):
-        return self._execute_plan(self._plan_tokens(tokens, sql), cold,
-                                  engine, workers)
 
     def prepare(self, sql: str) -> SelectPlan:
         """Parse and plan an aggregate SELECT once, caching the plan
@@ -632,31 +558,13 @@ class SqlSession:
         the latches, identical results) minus the per-call parse and
         plan."""
         plan = self.prepare(sql)
-        # replint: same cross-mode RL002 false positive as query().
-        if self.db.mvcc:
-            with self._mvcc_select_guard(plan, engine):
-                result = self._execute_plan(plan, cold, engine,  # replint: disable=RL002
-                                            workers)
-                if finalize is not None:
-                    result = finalize(result)
-                return result
-        with self.db.latches.read_latch(
-                *self._plan_latch_set(plan, engine)):
-            result = self._execute_plan(plan, cold, engine, workers)  # replint: disable=RL002
+        # RL002: the same guard over-approximation as query().
+        with self._select_guard(plan, engine):
+            result = self._execute_plan(plan, cold, engine,  # replint: disable=RL002
+                                        workers)
             if finalize is not None:
                 result = finalize(result)
             return result
-
-    def _plan_latch_set(self, plan: SelectPlan,
-                        engine: str | None) -> tuple[str, ...]:
-        """:meth:`_latch_set` for an already-built plan (no token
-        walk): the plan's table, or every table when the statement may
-        run on the parallel engine."""
-        resolved = engine if engine is not None \
-            else self.executor.default_engine
-        if resolved == "parallel":
-            return ()
-        return (plan.table.name,)
 
     def plan_select(self, sql: str) -> SelectPlan:
         """Parse one aggregate SELECT into a routable
@@ -767,17 +675,11 @@ class SqlSession:
         :meth:`query` semantics: applied under the latches, so blob
         handles inside MIN/MAX partials can be materialized safely.
         """
-        tokens = _tokenize(sql)
-        # replint: same cross-mode RL002 false positive as query().
-        if self.db.mvcc:
-            plan = self._plan_tokens(tokens, sql)
-            with self._mvcc_select_guard(plan, engine):
-                return self._partial_locked(plan, cold, engine,  # replint: disable=RL002
-                                            workers, finalize)
-        with self.db.latches.read_latch(*self._latch_set(tokens, engine)):
-            plan = self._plan_tokens(tokens, sql)
-            return self._partial_locked(plan, cold, engine, workers,  # replint: disable=RL002
-                                        finalize)
+        plan = self.plan_select(sql)
+        # RL002: the same guard over-approximation as query().
+        with self._select_guard(plan, engine):
+            return self._partial_locked(plan, cold, engine,  # replint: disable=RL002
+                                        workers, finalize)
 
     def _partial_locked(self, plan: SelectPlan, cold: bool,
                         engine: str | None, workers: int | None,
@@ -1367,16 +1269,6 @@ class _Ddl:
             raise SqlSyntaxError(
                 f"unexpected trailing input {self._peek()[1]!r}")
         return table, rows
-
-    def insert(self) -> int:
-        """``INSERT INTO name VALUES ...``; returns rows inserted.
-
-        The whole statement is parsed first and inserted as one batch,
-        so an ascending load into an empty table takes the bulk-load
-        path.
-        """
-        table, rows = self.parse_insert()
-        return table.insert_many(rows)
 
     def _value(self):
         kind, text = self._next()

@@ -14,7 +14,6 @@ from repro.analysis.callgraph import CallGraph
 from repro.analysis.flow.cfg import build_cfg
 from repro.analysis.flow.dataflow import (
     LockClassifier,
-    _mode_compatible,
     analyze_locks,
     analyze_resources,
 )
@@ -114,15 +113,6 @@ def test_yield_states_capture_held_latch():
     assert all(state for state in facts.yield_states)
 
 
-def test_mode_exclusivity_filters_alternatives():
-    legacy = frozenset({("db", True)})
-    mvcc = frozenset({("catalog", False)})
-    assert _mode_compatible(legacy, (("db", True),))
-    assert not _mode_compatible(legacy, (("catalog", False), ("table", True)))
-    assert not _mode_compatible(mvcc, (("db", False),))
-    assert _mode_compatible(frozenset(), (("db", False),))
-
-
 # -- resource dataflow ------------------------------------------------------
 
 def test_pin_leaks_on_early_return():
@@ -195,15 +185,6 @@ def test_lockgraph_workerpool_incoming_exempt():
     assert graph.topo_order() == ["workerpool", "catalog"]
 
 
-def test_lockgraph_cross_family_edges_skipped():
-    graph = LockGraph()
-    graph.add_edge("db", "table", "phantom")
-    graph.add_edge("catalog", "db", "phantom")
-    assert graph.edges == {}
-    graph.add_edge("catalog", "pool", "real")
-    assert ("catalog", "pool") in graph.edges
-
-
 def test_lockgraph_witness_cap():
     graph = LockGraph()
     for idx in range(5):
@@ -260,7 +241,7 @@ def test_program_analysis_blocking_chain_through_helper():
     info, name, _line, _col, cls, chain = sites[0]
     assert info.qualname == "slow_write"
     assert name == "helper"
-    assert cls in ("db", "table")
+    assert cls == "table"
     assert any("helper" in hop for hop in chain)
 
 
@@ -277,7 +258,6 @@ def test_program_analysis_skips_reacquisition_edges():
         "        pass\n")
     graph = analysis.lock_graph
     assert ("table", "catalog") not in graph.edges
-    assert ("table", "db") not in graph.edges
     assert graph.cycles() == []
 
 

@@ -270,7 +270,7 @@ def test_rl002_latch_through_call_flagged(tmp_path):
 
 def test_rl001_latch_guarded_entry_clean(tmp_path):
     # A SqlSession entry point reaching a sink through a table-latch
-    # guard satisfies RL001 just like the legacy db.lock guard does.
+    # guard satisfies RL001 just like a raw RWLock guard does.
     text = (
         "class BufferPool:\n"
         "    def fetch(self, page_id):\n"

@@ -248,6 +248,21 @@ class TestWorkerPool:
         session.query(sql, engine="parallel", workers=2)
         assert pool.snapshot_cuts == 2
 
+    def test_refresh_recuts_for_recreated_table(self, session):
+        """DROP + CREATE of a same-named table with the same mutation
+        count must still re-cut: the workers' snapshot holds the old
+        table's pages."""
+        session.execute("CREATE TABLE r (id bigint, y float)")
+        session.execute("INSERT INTO r VALUES (1, 1.0), (2, 2.0)")
+        sql = "SELECT SUM(y), COUNT(*) FROM r"
+        assert session.query(sql, engine="parallel",
+                             workers=2)[0] == (3.0, 2)
+        session.execute("DROP TABLE r")
+        session.execute("CREATE TABLE r (id bigint, y float)")
+        session.execute("INSERT INTO r VALUES (5, 5.0), (6, 6.0)")
+        assert session.query(sql, engine="parallel",
+                             workers=2)[0] == (11.0, 2)
+
     def test_morsels_align_to_batch_boundaries(self, session):
         session.query("SELECT COUNT(*) FROM t", engine="parallel",
                       workers=2)

@@ -191,14 +191,14 @@ class TestRandomizedParity:
 
 
 class TestParityUnderTableLatches:
-    """Three-way parity with the per-table latch layer forced on
-    (``latch_mode="table"`` regardless of ``REPRO_LATCH``): the latch
-    planning — single-table sets for row/vector, the all-table set for
-    parallel snapshot cuts — must not perturb values or metrics."""
+    """Three-way parity under the per-table latch layer: the latch
+    planning — the catalog latch for row/vector snapshot scans, the
+    all-table set for parallel snapshot cuts — must not perturb values
+    or metrics."""
 
     @pytest.fixture(scope="class")
     def latched_session(self):
-        db = Database(buffer_pages=2048, latch_mode="table")
+        db = Database(buffer_pages=2048)
         table = db.create_table(
             "t", [Column("id", "bigint"), Column("x", "float"),
                   Column("k", "int"),

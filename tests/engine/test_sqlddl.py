@@ -67,9 +67,8 @@ class TestDropTable:
         assert count == 1
 
     def test_write_version_monotonic_across_drop(self, session):
-        """Snapshot refresh keys off a monotone write_version; a
-        drop/recreate cycle must never rewind it, or stale parallel
-        snapshots would look fresh."""
+        """write_version is monotone: a drop/recreate cycle must
+        never rewind it."""
         db = session.db
         v0 = db.write_version
         session.execute("CREATE TABLE t (id BIGINT, x FLOAT)")
